@@ -8,7 +8,6 @@
 //!   intervals (the paper reports 95% CIs on all simulated points).
 //! * [`queueing`] — a batch-service queueing model that interpolates the
 //!   whole Figure 3/4 load range (the paper only analyzes the extremes).
-//! * [`histogram`] — latency distribution support.
 //! * [`report`] — ASCII/CSV table rendering used by the experiment harness.
 //!
 //! # Example
@@ -26,11 +25,9 @@
 #![forbid(unsafe_code)]
 
 pub mod formulas;
-pub mod histogram;
 pub mod queueing;
 pub mod report;
 pub mod stats;
 
-pub use histogram::Histogram;
 pub use report::{Cell, Table};
 pub use stats::{MovingWindow, OnlineStats};

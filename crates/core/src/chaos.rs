@@ -47,51 +47,13 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use tokq_obs::Level;
 use tokq_protocol::arbiter::{ArbiterConfig, RecoveryConfig};
+use tokq_protocol::rng::SimRng;
 use tokq_protocol::types::TimeDelta;
 
 use crate::cluster::Cluster;
 use crate::metrics::ClusterMetrics;
 use crate::service::LockError;
 use crate::transport::NetOptions;
-
-// ---------------------------------------------------------------------------
-// Deterministic randomness
-// ---------------------------------------------------------------------------
-
-/// Small deterministic PRNG (SplitMix64) for schedule generation: the same
-/// seed always yields the same chaos schedule.
-#[derive(Debug, Clone)]
-pub struct ChaosRng(u64);
-
-impl ChaosRng {
-    /// A generator with the given seed.
-    pub fn new(seed: u64) -> Self {
-        ChaosRng(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform sample in `[0, n)`; `n` must be non-zero.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform sample in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// True with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Online safety checker
@@ -340,7 +302,7 @@ impl std::fmt::Display for ChaosOp {
 /// schedule always hands back a whole cluster.
 pub fn schedule(seed: u64, n: usize, ops: usize) -> Vec<ChaosOp> {
     assert!(n >= 2, "chaos needs at least two nodes");
-    let mut rng = ChaosRng::new(seed);
+    let mut rng = SimRng::new(seed);
     let max_down = (n - 1) / 2;
     let mut crashed: BTreeSet<usize> = BTreeSet::new();
     let mut partitioned = false;
@@ -359,25 +321,25 @@ pub fn schedule(seed: u64, n: usize, ops: usize) -> Vec<ChaosOp> {
             0 | 1 if crashed.len() < max_down => {
                 // Crash a random live node.
                 let live: Vec<usize> = (0..n).filter(|i| !crashed.contains(i)).collect();
-                let victim = live[rng.below(live.len())];
+                let victim = live[rng.below(live.len() as u64) as usize];
                 crashed.insert(victim);
                 plan.push(ChaosOp::Crash(victim));
             }
             2 | 3 if !crashed.is_empty() => {
                 let back = *crashed
                     .iter()
-                    .nth(rng.below(crashed.len()))
+                    .nth(rng.below(crashed.len() as u64) as usize)
                     .expect("nonempty");
                 crashed.remove(&back);
                 plan.push(ChaosOp::Recover(back));
             }
             4 | 5 if !partitioned => {
                 // Split off a random minority (1 ..= (n-1)/2 nodes).
-                let minority_size = 1 + rng.below(max_down.max(1));
+                let minority_size = 1 + rng.below(max_down.max(1) as u64) as usize;
                 let mut pool: Vec<usize> = (0..n).collect();
                 let mut minority = Vec::with_capacity(minority_size);
                 for _ in 0..minority_size {
-                    minority.push(pool.swap_remove(rng.below(pool.len())));
+                    minority.push(pool.swap_remove(rng.below(pool.len() as u64) as usize));
                 }
                 minority.sort_unstable();
                 pool.sort_unstable();
@@ -892,6 +854,60 @@ mod tests {
         assert!(max_down <= 2);
         assert_eq!(down, 0, "schedule must recover everyone");
         assert!(!partitioned, "schedule must heal at the end");
+    }
+
+    /// `chaos_smoke`'s default seed, recorded before schedules took their
+    /// draws from the shared generator: documented `TOKQ_CHAOS_SEED`
+    /// replays must keep producing the same faults.
+    #[test]
+    fn default_smoke_schedule_matches_recorded_plan() {
+        use ChaosOp::*;
+        assert_eq!(
+            schedule(0xC0FFEE, 5, 40),
+            [
+                Partition(vec![vec![2, 3, 4], vec![0, 1]]),
+                Pause,
+                Heal,
+                Pause,
+                Pause,
+                LossBurst(187),
+                Pause,
+                Pause,
+                Pause,
+                Crash(4),
+                Crash(0),
+                Pause,
+                Pause,
+                Pause,
+                Partition(vec![vec![0, 1, 2, 3], vec![4]]),
+                Pause,
+                Pause,
+                Heal,
+                Partition(vec![vec![0, 3, 4], vec![1, 2]]),
+                Pause,
+                Pause,
+                Pause,
+                Heal,
+                Recover(4),
+                Partition(vec![vec![2, 3, 4], vec![0, 1]]),
+                Pause,
+                Heal,
+                Partition(vec![vec![0, 2, 3, 4], vec![1]]),
+                Crash(1),
+                Pause,
+                Heal,
+                Pause,
+                Pause,
+                Partition(vec![vec![0, 1, 2, 4], vec![3]]),
+                Pause,
+                Heal,
+                Recover(1),
+                Partition(vec![vec![0, 2, 3, 4], vec![1]]),
+                LossBurst(200),
+                Heal,
+                Recover(0),
+            ]
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::metrics::ClusterMetrics;
 use crate::node::{GrantReply, NodeEvent, NodeLoop};
 use crate::service::{FaultError, LockError, ResourceId, ShardId};
 use crate::tcp::{BackoffPolicy, TcpReceiver, TcpSender};
-use crate::transport::{ChannelTransport, Envelope, NetOptions, Wire};
+use crate::transport::{ChannelTransport, NetOptions, Wire};
 
 /// How long [`ResourceHandle::try_lock`] waits for the local fast path.
 ///
@@ -148,7 +148,6 @@ impl ClusterBuilder {
             node_rxs.push(rx);
         }
 
-        let mut pump_threads = Vec::new();
         let mut tcp_receivers = Vec::new();
         let transport: Arc<dyn Wire> = if self.tcp {
             // One loopback listener per node, ephemeral ports.
@@ -167,33 +166,8 @@ impl ClusterBuilder {
                 BackoffPolicy::default(),
             ))
         } else {
-            // The channel transport needs inbox senders that wrap
-            // envelopes into NodeEvents: a tiny pump per node.
-            let mut wire_txs = Vec::with_capacity(self.n);
-            for tx in &node_txs {
-                let (wtx, wrx) = unbounded::<Envelope>();
-                let tx = tx.clone();
-                let h = std::thread::Builder::new()
-                    .name("tokq-pump".into())
-                    .spawn(move || {
-                        while let Ok(env) = wrx.recv() {
-                            if tx
-                                .send(NodeEvent::Wire {
-                                    from: env.from,
-                                    frame: env.frame,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn pump thread");
-                wire_txs.push(wtx);
-                pump_threads.push(h);
-            }
             Arc::new(ChannelTransport::with_panel(
-                wire_txs,
+                node_txs.clone(),
                 self.net,
                 metrics.obs(),
                 fault_panel.clone(),
@@ -219,7 +193,6 @@ impl ClusterBuilder {
             shards: self.shards,
             node_txs,
             threads,
-            pump_threads,
             tcp_receivers,
             transport: Some(transport),
             fault_panel,
@@ -241,7 +214,6 @@ pub struct Cluster {
     shards: u16,
     node_txs: Vec<Sender<NodeEvent>>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    pump_threads: Vec<std::thread::JoinHandle<()>>,
     tcp_receivers: Vec<TcpReceiver>,
     transport: Option<Arc<dyn Wire>>,
     fault_panel: FaultPanel,
@@ -353,13 +325,11 @@ impl Cluster {
                 nodes: self.n,
             });
         }
-        Ok(MutexHandle {
-            inner: ResourceHandle {
-                resource: ResourceId::new("__mutex"),
-                shard: ShardId(0),
-                node: NodeId::from_index(node),
-                tx: self.node_tx(node),
-            },
+        Ok(ResourceHandle {
+            resource: ResourceId::new("__mutex"),
+            shard: ShardId(0),
+            node: NodeId::from_index(node),
+            tx: self.node_tx(node),
         })
     }
 
@@ -469,13 +439,8 @@ impl Cluster {
             let _ = t.join();
         }
         self.node_txs.clear();
-        // The node threads dropped their transport clones on exit; drop
-        // ours too so the envelope senders close and the pump threads can
-        // observe a disconnected channel and terminate.
+        // Dropping the transport stops its network thread, if it has one.
         self.transport = None;
-        for t in self.pump_threads.drain(..) {
-            let _ = t.join();
-        }
         for mut r in self.tcp_receivers.drain(..) {
             r.shutdown();
         }
@@ -577,49 +542,10 @@ impl ResourceHandle {
     }
 }
 
-/// A single-lock handle bound to one node: the compatibility shim over
-/// shard 0 (see [`Cluster::handle`]).
-///
-/// Clone freely; clones address the same node.
-#[derive(Debug, Clone)]
-pub struct MutexHandle {
-    inner: ResourceHandle,
-}
-
-impl MutexHandle {
-    /// The node this handle locks through.
-    pub fn node(&self) -> NodeId {
-        self.inner.node()
-    }
-
-    /// Blocks until the distributed lock is granted, returning an RAII
-    /// guard that releases on drop.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResourceHandle::lock`].
-    pub fn lock(&self) -> Result<LockGuard, LockError> {
-        self.inner.lock()
-    }
-
-    /// Attempts the lock with a short built-in grace.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResourceHandle::try_lock`].
-    pub fn try_lock(&self) -> Result<LockGuard, LockError> {
-        self.inner.try_lock()
-    }
-
-    /// Like [`MutexHandle::lock`] with a timeout.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResourceHandle::try_lock_for`].
-    pub fn try_lock_for(&self, timeout: Duration) -> Result<LockGuard, LockError> {
-        self.inner.try_lock_for(timeout)
-    }
-}
+/// A single-lock handle bound to one node: the compatibility name for
+/// the [`ResourceHandle`] that [`Cluster::handle`] returns, addressing
+/// shard 0.
+pub type MutexHandle = ResourceHandle;
 
 /// RAII guard for a distributed critical section: the lock is held from
 /// grant until the guard drops.

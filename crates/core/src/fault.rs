@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use tokq_obs::{Counter, Event, Level, Obs, Source};
+use tokq_protocol::rng::SharedRng;
 
 /// Trace target for fault-injection transitions.
 const T_FAULT: &str = "fault";
@@ -39,8 +40,8 @@ struct PanelInner {
     /// Extra drop probability injected on top of the configured network
     /// loss, stored as `f64` bits.
     loss_bits: AtomicU64,
-    /// SplitMix64 state for injected-loss rolls.
-    rng: AtomicU64,
+    /// Stream for injected-loss rolls.
+    rng: SharedRng,
     obs: Obs,
     /// Frames dropped because their link was blocked.
     blocked_drops: Counter,
@@ -96,7 +97,7 @@ impl FaultPanel {
                 n,
                 blocked: (0..n * n).map(|_| AtomicBool::new(false)).collect(),
                 loss_bits: AtomicU64::new(0f64.to_bits()),
-                rng: AtomicU64::new(0x5EED_FA01),
+                rng: SharedRng::new(0x5EED_FA01),
                 obs: obs.clone(),
                 blocked_drops: obs.registry().counter("fault_blocked_drops"),
                 injected_drops: obs.registry().counter("fault_injected_drops"),
@@ -317,26 +318,11 @@ impl FaultPanel {
     /// them).
     pub fn rolls_loss_drop(&self) -> bool {
         let loss = self.loss();
-        if loss > 0.0 && self.roll() < loss {
+        if loss > 0.0 && self.inner.rng.next_f64() < loss {
             self.inner.injected_drops.inc();
             return true;
         }
         false
-    }
-
-    /// One uniform sample in `[0, 1)` from the panel's atomic SplitMix64
-    /// stream.
-    fn roll(&self) -> f64 {
-        let state = self
-            .inner
-            .rng
-            .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Frames dropped so far because their link was blocked.
@@ -417,6 +403,33 @@ mod tests {
             "50% loss passed {passed}/2000"
         );
         assert_eq!(p.injected_drops() + passed as u64, 2000);
+    }
+
+    /// The loss stream recorded before the panel took its draws from the
+    /// shared generator: the first four rolls at 50% loss are
+    /// 0.4746, 0.4647, 0.0721 and 0.4947, so all four drop, and chaos
+    /// replays keep their loss pattern.
+    #[test]
+    fn loss_rolls_match_recorded_stream() {
+        let p = FaultPanel::detached(2);
+        p.set_loss(0.5);
+        let rolls: Vec<f64> = (0..4).map(|_| p.inner.rng.next_f64()).collect();
+        assert_eq!(
+            rolls,
+            [
+                0.47459559555209974,
+                0.46466862968985967,
+                0.07207878983029281,
+                0.49474364588685726,
+            ]
+        );
+        let p = FaultPanel::detached(2);
+        p.set_loss(0.5);
+        let admitted: Vec<bool> = (0..8).map(|_| p.admits(0, 1)).collect();
+        assert_eq!(
+            admitted,
+            [false, false, false, false, true, false, false, false]
+        );
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl ClusterMetrics {
     }
 
     /// Fresh application lock requests submitted so far (one per
-    /// [`crate::MutexHandle::try_lock_for`]/[`crate::MutexHandle::lock`]
+    /// [`crate::ResourceHandle::try_lock_for`]/[`crate::ResourceHandle::lock`]
     /// that reached its node).
     pub fn cs_requests_total(&self) -> u64 {
         self.cs_requests.get()

@@ -69,6 +69,17 @@ pub(crate) enum NodeEvent {
     Shutdown,
 }
 
+/// A frame off the wire enters the node inbox as [`NodeEvent::Wire`]: the
+/// channel transport delivers into node inboxes through this conversion.
+impl From<Envelope> for NodeEvent {
+    fn from(env: Envelope) -> Self {
+        NodeEvent::Wire {
+            from: env.from,
+            frame: env.frame,
+        }
+    }
+}
+
 impl NodeEvent {
     /// Control events touch every shard at once and therefore act as
     /// batch barriers in the drain loop.

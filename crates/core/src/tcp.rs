@@ -38,7 +38,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,6 +46,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use tokq_obs::{Counter, Gauge, Histogram, Obs, Source};
+use tokq_protocol::rng::SharedRng;
 use tokq_protocol::types::NodeId;
 
 use crate::fault::FaultPanel;
@@ -183,8 +184,8 @@ struct SenderInner {
     connect_timeout: Duration,
     panel: FaultPanel,
     stop: AtomicBool,
-    /// SplitMix64 state for backoff jitter.
-    rng: AtomicU64,
+    /// Stream for backoff jitter.
+    rng: SharedRng,
     /// Successful outbound connection establishments (incl. reconnects).
     connects: Counter,
     /// Connection establishments after a previous failure or disconnect.
@@ -207,16 +208,7 @@ impl SenderInner {
         if self.policy.jitter <= 0.0 {
             return delay;
         }
-        let state = self
-            .rng
-            .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        delay + delay.mul_f64(self.policy.jitter * unit)
+        delay + delay.mul_f64(self.policy.jitter * self.rng.next_f64())
     }
 
     /// Schedules the writer's next retry one backoff step out.
@@ -486,7 +478,7 @@ impl TcpSender {
             connect_timeout: Duration::from_millis(500),
             panel,
             stop: AtomicBool::new(false),
-            rng: AtomicU64::new(0x7C9A_B0FF),
+            rng: SharedRng::new(0x7C9A_B0FF),
             connects: obs.registry().counter("tcp_connects"),
             reconnects: obs.registry().counter("tcp_reconnects"),
             frames_requeued: obs.registry().counter("tcp_frames_requeued"),

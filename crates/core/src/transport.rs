@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tokq_obs::{Counter, Gauge, Obs, Source};
+use tokq_protocol::rng::SimRng;
 use tokq_protocol::types::NodeId;
 
 use crate::fault::FaultPanel;
@@ -107,14 +108,18 @@ pub struct Envelope {
 ///
 /// Frames pass through a dedicated network thread when any delay, jitter,
 /// or loss is configured; otherwise they are forwarded synchronously.
-pub struct ChannelTransport {
-    direct: Vec<Sender<Envelope>>,
+///
+/// An inbox carries any item built from an [`Envelope`] (`T:
+/// From<Envelope>`), so a cluster hands its node event inboxes straight to
+/// the transport and a frame reaches its node loop in one channel hop.
+pub struct ChannelTransport<T = Envelope> {
+    direct: Vec<Sender<T>>,
     net_tx: Option<Sender<Envelope>>,
     net_thread: Option<std::thread::JoinHandle<()>>,
     panel: FaultPanel,
 }
 
-impl std::fmt::Debug for ChannelTransport {
+impl<T> std::fmt::Debug for ChannelTransport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelTransport")
             .field("nodes", &self.direct.len())
@@ -150,19 +155,6 @@ impl Ord for Delayed {
     }
 }
 
-// SplitMix64, same as the simulator's.
-fn next_u64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn next_f64(state: &mut u64) -> f64 {
-    (next_u64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Transport-level counters the network thread maintains.
 struct NetStats {
     /// Frames dropped by simulated loss.
@@ -183,15 +175,15 @@ impl NetStats {
     }
 }
 
-impl ChannelTransport {
+impl<T: From<Envelope> + Send + 'static> ChannelTransport<T> {
     /// Builds a transport delivering into `inboxes` under `opts`.
-    pub fn new(inboxes: Vec<Sender<Envelope>>, opts: NetOptions) -> Self {
+    pub fn new(inboxes: Vec<Sender<T>>, opts: NetOptions) -> Self {
         Self::with_obs(inboxes, opts, &Obs::disabled(Source::Runtime))
     }
 
     /// Like [`ChannelTransport::new`], recording loss/delay counters
     /// (`net_dropped`, `net_delivered`, `net_inflight`) into `obs`.
-    pub fn with_obs(inboxes: Vec<Sender<Envelope>>, opts: NetOptions, obs: &Obs) -> Self {
+    pub fn with_obs(inboxes: Vec<Sender<T>>, opts: NetOptions, obs: &Obs) -> Self {
         let panel = FaultPanel::new(inboxes.len(), obs);
         Self::with_panel(inboxes, opts, obs, panel)
     }
@@ -200,7 +192,7 @@ impl ChannelTransport {
     /// [`FaultPanel`] so partitions and loss bursts can be injected while
     /// the transport runs.
     pub fn with_panel(
-        inboxes: Vec<Sender<Envelope>>,
+        inboxes: Vec<Sender<T>>,
         opts: NetOptions,
         obs: &Obs,
         panel: FaultPanel,
@@ -230,11 +222,6 @@ impl ChannelTransport {
         }
     }
 
-    /// The fault panel this transport consults on every frame.
-    pub fn fault_panel(&self) -> &FaultPanel {
-        &self.panel
-    }
-
     /// Sends one envelope; delivery is best-effort (dead inboxes,
     /// simulated losses, and faulted links are silently dropped).
     pub fn send(&self, env: Envelope) {
@@ -245,13 +232,18 @@ impl ChannelTransport {
                 return;
             }
             if let Some(inbox) = self.direct.get(env.to.index()) {
-                let _ = inbox.send(env);
+                let _ = inbox.send(env.into());
             }
         }
     }
 }
 
-impl ChannelTransport {
+impl<T> ChannelTransport<T> {
+    /// The fault panel this transport consults on every frame.
+    pub fn fault_panel(&self) -> &FaultPanel {
+        &self.panel
+    }
+
     /// Stops the network thread (if any), dropping queued frames.
     pub fn shutdown(&mut self) {
         self.net_tx = None;
@@ -261,28 +253,28 @@ impl ChannelTransport {
     }
 }
 
-impl Wire for ChannelTransport {
+impl<T: From<Envelope> + Send + 'static> Wire for ChannelTransport<T> {
     fn send(&self, env: Envelope) {
         ChannelTransport::send(self, env);
     }
 }
 
-impl Drop for ChannelTransport {
+impl<T> Drop for ChannelTransport<T> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-fn net_thread(
+fn net_thread<T: From<Envelope>>(
     rx: Receiver<Envelope>,
-    inboxes: Vec<Sender<Envelope>>,
+    inboxes: Vec<Sender<T>>,
     opts: NetOptions,
     stats: NetStats,
     panel: FaultPanel,
 ) {
     let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut rng = opts.seed;
+    let mut rng = SimRng::new(opts.seed);
     loop {
         // Deliver everything due.
         let now = Instant::now();
@@ -291,7 +283,7 @@ fn net_thread(
             stats.inflight.sub(1);
             stats.delivered.inc();
             if let Some(inbox) = inboxes.get(d.env.to.index()) {
-                let _ = inbox.send(d.env);
+                let _ = inbox.send(d.env.into());
             }
         }
         let wait = heap
@@ -303,12 +295,12 @@ fn net_thread(
                 if !panel.admits(env.from.index(), env.to.index()) {
                     continue;
                 }
-                if opts.loss > 0.0 && next_f64(&mut rng) < opts.loss {
+                if opts.loss > 0.0 && rng.next_f64() < opts.loss {
                     stats.dropped.inc();
                     continue;
                 }
                 let jitter = if opts.jitter > Duration::ZERO {
-                    opts.jitter.mul_f64(next_f64(&mut rng))
+                    opts.jitter.mul_f64(rng.next_f64())
                 } else {
                     Duration::ZERO
                 };
@@ -328,7 +320,7 @@ fn net_thread(
                     stats.inflight.sub(1);
                     stats.delivered.inc();
                     if let Some(inbox) = inboxes.get(d.env.to.index()) {
-                        let _ = inbox.send(d.env);
+                        let _ = inbox.send(d.env.into());
                     }
                 }
                 return;
@@ -340,10 +332,39 @@ fn net_thread(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeEvent;
 
-    fn env(to: u32, payload: &[u8]) -> Envelope {
+    /// An inbox item the transport delivers into, read back as the sender
+    /// and frame it carries. Tests run once per item type: bare envelopes
+    /// (a standalone transport) and node events (a cluster's node inboxes).
+    trait Inbox: From<Envelope> + Send + 'static {
+        fn open(self) -> (NodeId, Bytes);
+    }
+
+    impl Inbox for Envelope {
+        fn open(self) -> (NodeId, Bytes) {
+            (self.from, self.frame)
+        }
+    }
+
+    impl Inbox for NodeEvent {
+        fn open(self) -> (NodeId, Bytes) {
+            match self {
+                NodeEvent::Wire { from, frame } => (from, frame),
+                other => panic!("frame arrived as {other:?}, not NodeEvent::Wire"),
+            }
+        }
+    }
+
+    /// A transport with one inbox (node 0) and that inbox's receiver.
+    fn one_inbox<T: Inbox>(opts: NetOptions) -> (ChannelTransport<T>, Receiver<T>) {
+        let (tx, rx) = unbounded();
+        (ChannelTransport::new(vec![tx], opts), rx)
+    }
+
+    fn env(from: u32, to: u32, payload: &[u8]) -> Envelope {
         Envelope {
-            from: NodeId(0),
+            from: NodeId(from),
             to: NodeId(to),
             frame: Bytes::copy_from_slice(payload),
         }
@@ -351,22 +372,24 @@ mod tests {
 
     #[test]
     fn direct_transport_delivers_synchronously() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
-        t.send(env(0, b"hello"));
-        let got = rx.try_recv().expect("delivered");
-        assert_eq!(&got.frame[..], b"hello");
+        fn check<T: Inbox>() {
+            let (t, rx) = one_inbox::<T>(NetOptions::instant());
+            t.send(env(0, 0, b"hello"));
+            let (from, frame) = rx.try_recv().expect("delivered").open();
+            assert_eq!((from, &frame[..]), (NodeId(0), &b"hello"[..]));
+        }
+        check::<Envelope>();
+        check::<NodeEvent>();
     }
 
     #[test]
     fn delayed_transport_takes_time() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(30), Duration::ZERO),
-        );
+        let (t, rx) = one_inbox::<Envelope>(NetOptions::delayed(
+            Duration::from_millis(30),
+            Duration::ZERO,
+        ));
         let start = Instant::now();
-        t.send(env(0, b"x"));
+        t.send(env(0, 0, b"x"));
         let got = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
         assert_eq!(&got.frame[..], b"x");
         assert!(
@@ -378,80 +401,91 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant().lossy(1.0));
+        let (t, rx) = one_inbox::<Envelope>(NetOptions::instant().lossy(1.0));
         for _ in 0..10 {
-            t.send(env(0, b"y"));
+            t.send(env(0, 0, b"y"));
         }
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]
     fn out_of_range_destination_is_ignored() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
-        t.send(env(5, b"z"));
+        let (t, rx) = one_inbox::<Envelope>(NetOptions::instant());
+        t.send(env(0, 5, b"z"));
         assert!(rx.try_recv().is_err());
     }
 
     #[test]
     fn blocked_link_drops_on_direct_path_and_heals() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
-        t.fault_panel().block(0, 0);
-        t.send(env(0, b"cut"));
-        assert!(rx.try_recv().is_err());
-        assert_eq!(t.fault_panel().blocked_drops(), 1);
-        t.fault_panel().heal();
-        t.send(env(0, b"whole"));
-        assert_eq!(&rx.try_recv().expect("healed").frame[..], b"whole");
+        fn check<T: Inbox>() {
+            let (t, rx) = one_inbox::<T>(NetOptions::instant());
+            t.fault_panel().block(0, 0);
+            t.send(env(0, 0, b"cut"));
+            assert!(rx.try_recv().is_err());
+            assert_eq!(t.fault_panel().blocked_drops(), 1);
+            t.fault_panel().heal();
+            t.send(env(0, 0, b"whole"));
+            assert_eq!(&rx.try_recv().expect("healed").open().1[..], b"whole");
+        }
+        check::<Envelope>();
+        check::<NodeEvent>();
     }
 
     #[test]
     fn blocked_link_drops_through_net_thread() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(1), Duration::ZERO),
-        );
-        t.fault_panel().block(0, 0);
-        t.send(env(0, b"cut"));
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
-        t.fault_panel().heal();
-        t.send(env(0, b"whole"));
-        let got = rx.recv_timeout(Duration::from_secs(2)).expect("healed");
-        assert_eq!(&got.frame[..], b"whole");
+        fn check<T: Inbox>() {
+            let (t, rx) = one_inbox::<T>(NetOptions::delayed(
+                Duration::from_millis(1),
+                Duration::ZERO,
+            ));
+            t.fault_panel().block(0, 0);
+            t.send(env(0, 0, b"cut"));
+            assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+            t.fault_panel().heal();
+            t.send(env(0, 0, b"whole"));
+            let got = rx.recv_timeout(Duration::from_secs(2)).expect("healed");
+            assert_eq!(&got.open().1[..], b"whole");
+        }
+        check::<Envelope>();
+        check::<NodeEvent>();
     }
 
     #[test]
     fn injected_total_loss_drops_everything_until_cleared() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
+        let (t, rx) = one_inbox::<Envelope>(NetOptions::instant());
         t.fault_panel().set_loss(1.0);
         for _ in 0..10 {
-            t.send(env(0, b"y"));
+            t.send(env(0, 0, b"y"));
         }
         assert!(rx.try_recv().is_err());
         t.fault_panel().set_loss(0.0);
-        t.send(env(0, b"z"));
+        t.send(env(0, 0, b"z"));
         assert!(rx.try_recv().is_ok());
     }
 
+    /// Frames from two senders interleave into one inbox; each link's
+    /// frames arrive in the order they were sent, on the direct path and
+    /// through the delaying network thread alike.
     #[test]
     fn ordering_preserved_with_constant_delay() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(5), Duration::ZERO),
-        );
-        for i in 0..20u8 {
-            t.send(env(0, &[i]));
+        fn check<T: Inbox>(opts: NetOptions) {
+            let (t, rx) = one_inbox::<T>(opts);
+            for i in 0..20u8 {
+                t.send(env(u32::from(i % 2), 0, &[i]));
+            }
+            let mut per_link = [Vec::new(), Vec::new()];
+            for _ in 0..20 {
+                let (from, frame) = rx.recv_timeout(Duration::from_secs(2)).unwrap().open();
+                per_link[from.index()].push(frame[0]);
+            }
+            let evens: Vec<u8> = (0..20).step_by(2).collect();
+            let odds: Vec<u8> = (1..20).step_by(2).collect();
+            assert_eq!(per_link, [evens, odds], "under {opts:?}");
         }
-        let mut got = Vec::new();
-        for _ in 0..20 {
-            got.push(rx.recv_timeout(Duration::from_secs(2)).unwrap().frame[0]);
+        let delayed = NetOptions::delayed(Duration::from_millis(5), Duration::ZERO);
+        for opts in [NetOptions::instant(), delayed] {
+            check::<Envelope>(opts);
+            check::<NodeEvent>(opts);
         }
-        let want: Vec<u8> = (0..20).collect();
-        assert_eq!(got, want);
     }
 }

@@ -16,6 +16,9 @@
 //!   FAILED/INQUIRE/YIELD deadlock-avoidance machinery);
 //! * [`centralized`] — a trivial central-coordinator baseline (3 messages).
 //!
+//! [`rng`] holds the one seeded generator (SplitMix64) that the simulator
+//! and the threaded runtime both draw from.
+//!
 //! Every algorithm is a *pure state machine* implementing [`api::Protocol`]:
 //! it consumes [`event::Input`]s and emits [`event::Action`]s, never
 //! touching clocks, sockets, or threads. The `tokq-simnet` crate drives
@@ -60,6 +63,7 @@ pub mod maekawa;
 pub mod qlist;
 pub mod raymond;
 pub mod ricart_agrawala;
+pub mod rng;
 pub mod singhal;
 pub mod suzuki_kasami;
 pub mod types;

@@ -39,10 +39,13 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod replay;
-pub mod rng;
 pub mod sim;
 pub mod time;
 pub mod trace;
+
+/// The seeded generator every simulation draws from; it lives in
+/// `tokq-protocol`, which the runtime shares.
+pub use tokq_protocol::rng;
 
 pub use arrivals::{ArrivalProcess, ClosedLoop, Poisson, Scripted, WorkloadSpec};
 pub use explore::{

@@ -39,4 +39,24 @@ cargo test -q --test tcp_pipeline
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
 
+echo "==> benchmark: build and test perfbench against the changed crates"
+# The benchmark is its own cargo workspace; it pins the public API it uses
+# (Cluster::handle, MutexHandle, ChannelTransport::new, tokq_simnet::rng).
+export CARGO_TARGET_DIR=.bench_build
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark smoke: 2 s each of rt_chan and rt_tcp, no failed operation"
+for workload in rt_chan rt_tcp; do
+    last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    case "$last" in
+    *'"correct":true,'*'"failed":0,'*) ;;
+    *)
+        echo "benchmark smoke $workload failed: $last" >&2
+        exit 1
+        ;;
+    esac
+done
+unset CARGO_TARGET_DIR
+
 echo "==> all checks passed"

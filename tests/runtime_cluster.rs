@@ -3,10 +3,11 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tokq::core::{Cluster, LockError, NetOptions};
+use tokq::core::{Cluster, LockError, NetOptions, SafetyChecker};
 use tokq::protocol::arbiter::{ArbiterConfig, RecoveryConfig};
+use tokq::protocol::rng::SimRng;
 use tokq::protocol::types::TimeDelta;
 
 fn quick() -> ArbiterConfig {
@@ -243,4 +244,91 @@ fn tcp_cluster_survives_crash_and_recovery() {
         .expect("recovered node reacquires over TCP");
     drop(g);
     cluster.shutdown();
+}
+
+/// The repository benchmark's load, bounded to 2,000 operations: a 4-node
+/// `fault_tolerant()` cluster with only the phase windows scaled
+/// (T_req = 100 µs, T_fwd = 2 ms) and two closed-loop clients, each
+/// operation at a seeded random origin node. A call that misses 100 ms is
+/// late and is abandoned (its grant auto-releases); the operation retries
+/// at a freshly drawn node. Every operation must be granted within 10 s of
+/// its first call, no two critical sections may overlap, and the runtime
+/// must complete every grant plus at most one abandoned grant per late
+/// call.
+fn benchmark_shaped_load_stays_live(tcp: bool) {
+    const NODES: usize = 4;
+    const CLIENTS: usize = 2;
+    const OPS_PER_CLIENT: u64 = 1_000;
+    const LIMIT: Duration = Duration::from_millis(100);
+    const OP_LIMIT: Duration = Duration::from_secs(10);
+    let config = ArbiterConfig::fault_tolerant()
+        .with_t_collect(TimeDelta::from_micros(100))
+        .with_t_forward(TimeDelta::from_millis(2));
+    let builder = Cluster::builder(NODES).config(config);
+    let cluster = if tcp {
+        builder.tcp().build()
+    } else {
+        builder.build()
+    };
+    let metrics = cluster.metrics_handle();
+    let handles: Vec<_> = (0..NODES)
+        .map(|n| cluster.handle(n).expect("node in range"))
+        .collect();
+    let checker = SafetyChecker::new(NODES);
+    let mut root = SimRng::new(9000);
+    let late: u64 = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let mut rng = root.fork();
+                let (handles, checker) = (&handles, &checker);
+                s.spawn(move || {
+                    let mut late = 0u64;
+                    for op in 0..OPS_PER_CLIENT {
+                        let asked = Instant::now();
+                        let (node, guard) = loop {
+                            let node = rng.below(NODES as u64) as usize;
+                            match handles[node].try_lock_for(LIMIT) {
+                                Ok(guard) => break (node, guard),
+                                Err(LockError::Timeout) => late += 1,
+                                Err(e) => panic!("lock error on a fault-free cluster: {e}"),
+                            }
+                            assert!(
+                                asked.elapsed() < OP_LIMIT,
+                                "operation {op} not granted within {OP_LIMIT:?}"
+                            );
+                        };
+                        let waited = asked.elapsed();
+                        assert!(waited < OP_LIMIT, "operation {op} took {waited:?}");
+                        let ticket = checker.enter(node);
+                        checker.exit(ticket);
+                        drop(guard);
+                    }
+                    late
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client panicked"))
+            .sum()
+    });
+    assert!(checker.is_safe(), "{:?}", checker.violations());
+    let granted = CLIENTS as u64 * OPS_PER_CLIENT;
+    assert_eq!(checker.clean_entries(), granted);
+    cluster.shutdown();
+    let done = metrics.cs_completed_total();
+    assert!(
+        (granted..=granted + late).contains(&done),
+        "completed {done} critical sections for {granted} grants and {late} late calls"
+    );
+}
+
+#[test]
+fn benchmark_shaped_load_stays_live_on_channels() {
+    benchmark_shaped_load_stays_live(false);
+}
+
+#[test]
+fn benchmark_shaped_load_stays_live_over_tcp() {
+    benchmark_shaped_load_stays_live(true);
 }
