@@ -266,7 +266,8 @@ impl Cluster {
     pub fn resource(&self, name: impl Into<ResourceId>) -> ResourceHandle {
         let resource = name.into();
         let node = resource.home_node(self.n);
-        self.resource_handle(resource, node)
+        self.resource_on(node, resource)
+            .expect("the home node is in range")
     }
 
     /// Like [`Cluster::resource`] but locking through an explicit node
@@ -280,35 +281,37 @@ impl Cluster {
         node: usize,
         name: impl Into<ResourceId>,
     ) -> Result<ResourceHandle, LockError> {
+        let resource = name.into();
+        let shard = resource.shard(self.shards);
+        self.handle_on(node, resource, shard)
+    }
+
+    /// The one constructor of [`ResourceHandle`]: `resource` on `shard`,
+    /// locked through `node`. Once the cluster has shut down the handle
+    /// holds a dead sender, so every lock call fails with
+    /// [`LockError::ShuttingDown`].
+    fn handle_on(
+        &self,
+        node: usize,
+        resource: ResourceId,
+        shard: ShardId,
+    ) -> Result<ResourceHandle, LockError> {
         if node >= self.n {
             return Err(LockError::NoSuchNode {
                 node,
                 nodes: self.n,
             });
         }
-        Ok(self.resource_handle(name.into(), node))
-    }
-
-    fn resource_handle(&self, resource: ResourceId, node: usize) -> ResourceHandle {
-        let shard = resource.shard(self.shards);
-        ResourceHandle {
+        let tx = match self.node_txs.get(node) {
+            Some(tx) => tx.clone(),
+            None => unbounded().0,
+        };
+        Ok(ResourceHandle {
             resource,
             shard,
             node: NodeId::from_index(node),
-            tx: self.node_tx(node),
-        }
-    }
-
-    /// The inbox sender for `node`, or a dead sender (every send fails →
-    /// `ShuttingDown`) once the cluster has shut down.
-    fn node_tx(&self, node: usize) -> Sender<NodeEvent> {
-        match self.node_txs.get(node) {
-            Some(tx) => tx.clone(),
-            None => {
-                let (tx, _) = unbounded();
-                tx
-            }
-        }
+            tx,
+        })
     }
 
     /// A single-lock handle bound to `node` — the documented
@@ -319,18 +322,7 @@ impl Cluster {
     ///
     /// [`LockError::NoSuchNode`] if `node` is out of range.
     pub fn handle(&self, node: usize) -> Result<MutexHandle, LockError> {
-        if node >= self.n {
-            return Err(LockError::NoSuchNode {
-                node,
-                nodes: self.n,
-            });
-        }
-        Ok(ResourceHandle {
-            resource: ResourceId::new("__mutex"),
-            shard: ShardId(0),
-            node: NodeId::from_index(node),
-            tx: self.node_tx(node),
-        })
+        self.handle_on(node, ResourceId::new("__mutex"), ShardId(0))
     }
 
     /// Crashes `node`: volatile protocol state on every shard is lost and
@@ -687,6 +679,34 @@ mod tests {
         let gb = b.try_lock_for(Duration::from_secs(10)).expect("granted b");
         drop(gb);
         drop(ga);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn node_absorbs_bad_frames_and_keeps_granting() {
+        use tokq_protocol::arbiter::ArbiterMsg;
+
+        let cluster = Cluster::builder(2).shards(2).build();
+        let inbox = &cluster.node_txs[0];
+        let from = NodeId::from_index(1);
+        let valid = crate::wire::encode(ShardId(1), &ArbiterMsg::Warning { round: 3 });
+        let truncated = bytes::Bytes::copy_from_slice(&valid[..valid.len() - 1]);
+        let out_of_range = crate::wire::encode(ShardId(9), &ArbiterMsg::Warning { round: 3 });
+        for frame in [truncated, out_of_range] {
+            inbox
+                .send(NodeEvent::Wire { from, frame })
+                .expect("node is running");
+        }
+        // The inbox is FIFO: this grant is handled after both frames.
+        let g = cluster
+            .handle(0)
+            .expect("in range")
+            .lock()
+            .expect("granted");
+        drop(g);
+        let notes = cluster.metrics().notes();
+        assert_eq!(notes.get("wire_decode_error"), Some(&1));
+        assert_eq!(notes.get("wire_shard_out_of_range"), Some(&1));
         cluster.shutdown();
     }
 }

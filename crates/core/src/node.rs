@@ -2,19 +2,19 @@
 //! shard* with real messages, real timers, and application lock requests.
 //!
 //! A node owns `K` independent protocol instances (shards) but a single
-//! inbox, a single thread, and a single transport. Incoming events are
-//! drained in batches and bucketed by shard before dispatch, so a burst of
-//! traffic on one shard is amortized into one pass instead of `K`
-//! interleaved context switches; control events (crash/recover/shutdown)
-//! act as batch barriers because they affect every shard at once.
+//! inbox, a single thread, and a single transport. Like the paper's node
+//! process, it reacts to one event at a time in arrival order: every inbox
+//! event goes through one `handle` match, and a frame reaches its shard by
+//! the shard id in its header. A wake-up handles up to [`BATCH`] queued
+//! events before it looks at due timers.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use tokq_obs::{span, Event, Level, Obs, SpanGuard};
-use tokq_protocol::api::Protocol;
+use tokq_protocol::api::{Protocol, ProtocolMessage};
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
 use tokq_protocol::event::{Action, Input, Note};
 use tokq_protocol::types::NodeId;
@@ -31,7 +31,8 @@ const T_NODE: &str = "node";
 /// Trace target for per-message wire traffic.
 const T_NET: &str = "net";
 
-/// How many inbox events one drain pass may swallow before dispatching.
+/// How many queued inbox events one wake-up handles before it checks the
+/// timers.
 const BATCH: usize = 128;
 
 /// What an [`NodeEvent::Acquire`] waiter eventually hears back: the CS
@@ -78,24 +79,6 @@ impl From<Envelope> for NodeEvent {
             frame: env.frame,
         }
     }
-}
-
-impl NodeEvent {
-    /// Control events touch every shard at once and therefore act as
-    /// batch barriers in the drain loop.
-    fn is_control(&self) -> bool {
-        matches!(
-            self,
-            NodeEvent::Crash | NodeEvent::Recover | NodeEvent::Shutdown
-        )
-    }
-}
-
-/// A decoded, shard-attributed unit of work produced by the drain pass.
-enum ShardWork {
-    Deliver { from: NodeId, msg: ArbiterMsg },
-    Acquire { grant: Sender<GrantReply> },
-    Release { gen: u64 },
 }
 
 struct PendingTimer {
@@ -175,13 +158,10 @@ pub(crate) struct NodeLoop {
     timer_gen: HashMap<(ShardId, ArbiterTimer), u64>,
 
     alive: bool,
-    /// Internally generated events processed before external ones
-    /// (e.g. auto-release when a grantee abandoned its request).
-    backlog: VecDeque<NodeEvent>,
-    /// Per-shard staging buffers for one drain pass. Persistent across
-    /// passes so the (very hot) one-event-per-wakeup case costs no
-    /// allocation once the deques have warmed up.
-    buckets: Vec<VecDeque<ShardWork>>,
+    /// Grants whose waiter had already given up when the critical section
+    /// was entered, as `(shard, cs_gen)`: released at the top of the next
+    /// loop pass so the token moves on.
+    abandoned: VecDeque<(ShardId, u64)>,
 }
 
 impl NodeLoop {
@@ -194,7 +174,6 @@ impl NodeLoop {
         assert!(!shards.is_empty(), "a node runs at least one shard");
         let id = shards[0].id();
         let n = shards[0].num_nodes();
-        let k = shards.len();
         let obs = metrics.obs().clone();
         NodeLoop {
             id,
@@ -207,8 +186,7 @@ impl NodeLoop {
             timers: BinaryHeap::new(),
             timer_gen: HashMap::new(),
             alive: true,
-            backlog: VecDeque::new(),
-            buckets: (0..k).map(|_| VecDeque::new()).collect(),
+            abandoned: VecDeque::new(),
         }
     }
 
@@ -217,11 +195,8 @@ impl NodeLoop {
             self.dispatch(ShardId(s as u16), Input::Start);
         }
         loop {
-            if let Some(ev) = self.backlog.pop_front() {
-                if self.handle(ev) {
-                    return;
-                }
-                continue;
+            while let Some((shard, gen)) = self.abandoned.pop_front() {
+                self.release(shard, gen);
             }
             self.fire_due_timers();
             let wait = self
@@ -229,255 +204,194 @@ impl NodeLoop {
                 .peek()
                 .map(|t| t.due.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(100));
-            match self.rx.recv_timeout(wait) {
-                Ok(ev) => {
-                    if self.drain_from(ev) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+            let first = match self.rx.recv_timeout(wait) {
+                Ok(ev) => ev,
+                Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return,
+            };
+            if self.handle(first) {
+                return;
             }
-        }
-    }
-
-    /// Drains up to [`BATCH`] queued events starting from `first` into
-    /// the per-shard staging buckets (preserving each shard's arrival
-    /// order — cross-shard order is immaterial, the instances are
-    /// independent), then dispatches one shard at a time. A control
-    /// event ends the batch (it is a barrier across all shards).
-    /// Returns `true` on shutdown.
-    fn drain_from(&mut self, first: NodeEvent) -> bool {
-        if first.is_control() {
-            return self.handle(first);
-        }
-        self.stage(first);
-        let mut drained = 1;
-        let mut barrier = None;
-        while drained < BATCH {
-            match self.rx.try_recv() {
-                Ok(ev) if ev.is_control() => {
-                    barrier = Some(ev);
-                    break;
-                }
-                Ok(ev) => {
-                    self.stage(ev);
-                    drained += 1;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        for idx in 0..self.buckets.len() {
-            let shard = ShardId(idx as u16);
-            while let Some(work) = self.buckets[idx].pop_front() {
-                self.handle_shard_work(shard, work);
-            }
-        }
-        match barrier {
-            Some(ev) => self.handle(ev),
-            None => false,
-        }
-    }
-
-    /// Classifies one data event into its shard's staging bucket.
-    fn stage(&mut self, ev: NodeEvent) {
-        if let Some((shard, work)) = self.classify(ev) {
-            self.buckets[shard.index()].push_back(work);
-        }
-    }
-
-    /// Decodes/attributes one data event to its shard, or absorbs it
-    /// (dead-node traffic, corrupt frames, out-of-range shard ids).
-    fn classify(&mut self, ev: NodeEvent) -> Option<(ShardId, ShardWork)> {
-        match ev {
-            NodeEvent::Wire { from, frame } => {
-                if !self.alive {
-                    return None;
-                }
-                self.obs
-                    .registry()
-                    .counter("wire_bytes_in")
-                    .add(frame.len() as u64);
-                match wire::decode(&frame) {
-                    Ok((shard, msg)) if shard.index() < self.shards.len() => {
-                        use tokq_protocol::api::ProtocolMessage;
-                        if self.obs.enabled(T_NET, Level::Trace) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Trace, "msg_recv")
-                                    .node(u64::from(self.id.0))
-                                    .shard(u64::from(shard.0))
-                                    .field("from", &from.0)
-                                    .field("kind", &msg.kind())
-                                    .field("bytes", &(frame.len() as u64)),
-                            );
-                        }
-                        Some((shard, ShardWork::Deliver { from, msg }))
-                    }
-                    Ok((shard, _)) => {
-                        // A frame for a shard this cluster does not run:
-                        // drop it like a lost message rather than panic.
-                        self.metrics.note("wire_shard_out_of_range");
-                        if self.obs.enabled(T_NET, Level::Debug) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Debug, "wire_shard_out_of_range")
-                                    .node(u64::from(self.id.0))
-                                    .shard(u64::from(shard.0))
-                                    .field("from", &from.0),
-                            );
-                        }
-                        None
-                    }
-                    Err(err) => {
-                        // A corrupt frame is dropped like a lost message.
-                        self.metrics.note("wire_decode_error");
-                        if self.obs.enabled(T_NET, Level::Debug) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Debug, "wire_decode_error")
-                                    .node(u64::from(self.id.0))
-                                    .field("from", &from.0)
-                                    .field("error", &format!("{err:?}")),
-                            );
-                        }
-                        None
-                    }
-                }
-            }
-            NodeEvent::Acquire { shard, grant } => {
-                if shard.index() >= self.shards.len() {
-                    let _ = grant.send(Err(LockError::ShuttingDown));
-                    return None;
-                }
-                if !self.alive {
-                    // New demand on a crashed node fails fast; waiters
-                    // enqueued *before* the crash still survive it.
-                    self.metrics.note("acquire_on_crashed_node");
-                    let _ = grant.send(Err(LockError::NodeDown));
-                    return None;
-                }
-                Some((shard, ShardWork::Acquire { grant }))
-            }
-            NodeEvent::Release { shard, gen } => {
-                if shard.index() >= self.shards.len() {
-                    return None;
-                }
-                Some((shard, ShardWork::Release { gen }))
-            }
-            NodeEvent::Crash | NodeEvent::Recover | NodeEvent::Shutdown => {
-                unreachable!("control events are handled as barriers")
-            }
-        }
-    }
-
-    fn handle_shard_work(&mut self, shard: ShardId, work: ShardWork) {
-        match work {
-            ShardWork::Deliver { from, msg } => {
-                use tokq_protocol::api::ProtocolMessage;
-                let hist = self.obs.registry().histogram_with("handle_ns", msg.kind());
-                let start = Instant::now();
-                self.dispatch(shard, Input::Deliver { from, msg });
-                hist.record_duration(start.elapsed());
-            }
-            ShardWork::Acquire { grant } => {
-                self.metrics.cs_requested(shard);
-                self.shards[shard.index()]
-                    .waiters
-                    .push_back((grant, Instant::now()));
-                self.pump_lock(shard);
-            }
-            ShardWork::Release { gen } => {
-                let st = &mut self.shards[shard.index()];
-                if gen != st.cs_gen {
-                    // A guard from before a crash (or an abandoned grant
-                    // from an earlier era): its critical section no longer
-                    // exists, so releasing would end somebody else's.
-                    self.metrics.note("stale_release_ignored");
+            for _ in 1..BATCH {
+                let Ok(ev) = self.rx.try_recv() else { break };
+                if self.handle(ev) {
                     return;
                 }
-                if st.in_cs {
-                    st.in_cs = false;
-                    st.engaged = false;
-                    self.metrics.cs_completed(shard);
-                    if self.obs.enabled(T_NODE, Level::Debug) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Debug, "cs_released")
-                                .node(u64::from(self.id.0))
-                                .shard(u64::from(shard.0)),
-                        );
-                    }
-                    self.dispatch(shard, Input::CsDone);
-                    self.pump_lock(shard);
-                }
             }
         }
     }
 
-    /// Handles one event outside a batch (backlog entries and control
-    /// barriers). Returns `true` on shutdown.
+    /// Handles one inbox event. Returns `true` on shutdown.
     fn handle(&mut self, ev: NodeEvent) -> bool {
         match ev {
-            NodeEvent::Crash => {
-                if self.alive {
-                    for s in 0..self.shards.len() {
-                        self.dispatch(ShardId(s as u16), Input::Crash);
-                    }
-                    self.alive = false;
-                    for st in &mut self.shards {
-                        st.in_cs = false;
-                        st.engaged = false;
-                        // Invalidate any outstanding guard: its release
-                        // (or an in-flight grant consumed late) must not
-                        // close a post-recovery critical section.
-                        st.cs_gen += 1;
-                        // Waiters survive: their application threads are
-                        // still blocked on the grant channel, so the
-                        // recovered node re-requests on their behalf
-                        // instead of stranding them.
-                        st.collection_span = None;
-                        st.forwarding_span = None;
-                    }
-                    self.timers.clear();
-                    self.timer_gen.clear();
-                    if self.obs.enabled(T_NODE, Level::Info) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)),
-                        );
-                    }
+            NodeEvent::Wire { from, frame } => self.deliver(from, &frame),
+            NodeEvent::Acquire { shard, grant } => self.acquire(shard, grant),
+            NodeEvent::Release { shard, gen } => self.release(shard, gen),
+            NodeEvent::Crash => self.crash(),
+            NodeEvent::Recover => self.recover(),
+            NodeEvent::Shutdown => return true,
+        }
+        false
+    }
+
+    /// Decodes a frame and steps its shard, or absorbs the frame like a
+    /// lost message (dead-node traffic, corrupt frames, out-of-range
+    /// shard ids).
+    fn deliver(&mut self, from: NodeId, frame: &[u8]) {
+        if !self.alive {
+            return;
+        }
+        self.obs
+            .registry()
+            .counter("wire_bytes_in")
+            .add(frame.len() as u64);
+        let (shard, msg) = match wire::decode(frame) {
+            Ok((shard, msg)) if shard.index() < self.shards.len() => (shard, msg),
+            Ok((shard, _)) => {
+                // A frame for a shard this cluster does not run: drop it
+                // like a lost message rather than panic.
+                self.metrics.note("wire_shard_out_of_range");
+                if self.obs.enabled(T_NET, Level::Debug) {
+                    self.obs.emit(
+                        Event::new(T_NET, Level::Debug, "wire_shard_out_of_range")
+                            .node(u64::from(self.id.0))
+                            .shard(u64::from(shard.0))
+                            .field("from", &from.0),
+                    );
                 }
-                false
+                return;
             }
-            NodeEvent::Recover => {
-                if !self.alive {
-                    self.alive = true;
-                    if self.obs.enabled(T_NODE, Level::Info) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Info, "recovered").node(u64::from(self.id.0)),
-                        );
-                    }
-                    for s in 0..self.shards.len() {
-                        self.dispatch(ShardId(s as u16), Input::Recover);
-                    }
-                    for s in 0..self.shards.len() {
-                        let shard = ShardId(s as u16);
-                        if !self.shards[s].waiters.is_empty() {
-                            // Re-issue the lock request for waiters that
-                            // survived the crash, counted separately from
-                            // fresh demand.
-                            self.metrics.cs_rerequested(shard);
-                            self.shards[s].engaged = true;
-                            self.dispatch(shard, Input::RequestCs);
-                        }
-                    }
+            Err(err) => {
+                // A corrupt frame is dropped like a lost message.
+                self.metrics.note("wire_decode_error");
+                if self.obs.enabled(T_NET, Level::Debug) {
+                    self.obs.emit(
+                        Event::new(T_NET, Level::Debug, "wire_decode_error")
+                            .node(u64::from(self.id.0))
+                            .field("from", &from.0)
+                            .field("error", &format!("{err:?}")),
+                    );
                 }
-                false
+                return;
             }
-            NodeEvent::Shutdown => true,
-            other => {
-                // Backlog data events (e.g. auto-release) take the same
-                // path as batched ones.
-                if let Some((shard, work)) = self.classify(other) {
-                    self.handle_shard_work(shard, work);
-                }
-                false
+        };
+        let kind = msg.kind();
+        if self.obs.enabled(T_NET, Level::Trace) {
+            self.obs.emit(
+                Event::new(T_NET, Level::Trace, "msg_recv")
+                    .node(u64::from(self.id.0))
+                    .shard(u64::from(shard.0))
+                    .field("from", &from.0)
+                    .field("kind", &kind)
+                    .field("bytes", &(frame.len() as u64)),
+            );
+        }
+        let hist = self.obs.registry().histogram_with("handle_ns", kind);
+        let start = Instant::now();
+        self.dispatch(shard, Input::Deliver { from, msg });
+        hist.record_duration(start.elapsed());
+    }
+
+    /// Queues an application waiter on `shard` and requests the critical
+    /// section for it if the shard is idle.
+    fn acquire(&mut self, shard: ShardId, grant: Sender<GrantReply>) {
+        if shard.index() >= self.shards.len() {
+            let _ = grant.send(Err(LockError::ShuttingDown));
+            return;
+        }
+        if !self.alive {
+            // New demand on a crashed node fails fast; waiters enqueued
+            // *before* the crash still survive it.
+            self.metrics.note("acquire_on_crashed_node");
+            let _ = grant.send(Err(LockError::NodeDown));
+            return;
+        }
+        self.metrics.cs_requested(shard);
+        self.shards[shard.index()]
+            .waiters
+            .push_back((grant, Instant::now()));
+        self.pump_lock(shard);
+    }
+
+    /// Ends the critical section on `shard` granted under generation `gen`.
+    fn release(&mut self, shard: ShardId, gen: u64) {
+        let Some(st) = self.shards.get_mut(shard.index()) else {
+            return;
+        };
+        if gen != st.cs_gen {
+            // A guard from before a crash (or an abandoned grant from an
+            // earlier era): its critical section no longer exists, so
+            // releasing would end somebody else's.
+            self.metrics.note("stale_release_ignored");
+            return;
+        }
+        if st.in_cs {
+            st.in_cs = false;
+            st.engaged = false;
+            self.metrics.cs_completed(shard);
+            if self.obs.enabled(T_NODE, Level::Debug) {
+                self.obs.emit(
+                    Event::new(T_NODE, Level::Debug, "cs_released")
+                        .node(u64::from(self.id.0))
+                        .shard(u64::from(shard.0)),
+                );
+            }
+            self.dispatch(shard, Input::CsDone);
+            self.pump_lock(shard);
+        }
+    }
+
+    /// Simulated process crash: volatile state is lost on every shard.
+    fn crash(&mut self) {
+        if !self.alive {
+            return;
+        }
+        for s in 0..self.shards.len() {
+            self.dispatch(ShardId(s as u16), Input::Crash);
+        }
+        self.alive = false;
+        for st in &mut self.shards {
+            st.in_cs = false;
+            st.engaged = false;
+            // Invalidate any outstanding guard: its release (or an
+            // in-flight grant consumed late) must not close a
+            // post-recovery critical section.
+            st.cs_gen += 1;
+            // Waiters survive: their application threads are still
+            // blocked on the grant channel, so the recovered node
+            // re-requests on their behalf instead of stranding them.
+            st.collection_span = None;
+            st.forwarding_span = None;
+        }
+        self.timers.clear();
+        self.timer_gen.clear();
+        if self.obs.enabled(T_NODE, Level::Info) {
+            self.obs
+                .emit(Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)));
+        }
+    }
+
+    /// Restart after a crash with fresh state on every shard.
+    fn recover(&mut self) {
+        if self.alive {
+            return;
+        }
+        self.alive = true;
+        if self.obs.enabled(T_NODE, Level::Info) {
+            self.obs
+                .emit(Event::new(T_NODE, Level::Info, "recovered").node(u64::from(self.id.0)));
+        }
+        for s in 0..self.shards.len() {
+            self.dispatch(ShardId(s as u16), Input::Recover);
+        }
+        for s in 0..self.shards.len() {
+            let shard = ShardId(s as u16);
+            if !self.shards[s].waiters.is_empty() {
+                // Re-issue the lock request for waiters that survived the
+                // crash, counted separately from fresh demand.
+                self.metrics.cs_rerequested(shard);
+                self.shards[s].engaged = true;
+                self.dispatch(shard, Input::RequestCs);
             }
         }
     }
@@ -566,9 +480,10 @@ impl NodeLoop {
                         }
                         _ => {
                             // The waiter gave up (timeout) or vanished:
-                            // release immediately so the token moves on.
-                            self.backlog
-                                .push_back(NodeEvent::Release { shard, gen: cs_gen });
+                            // release at the top of the next loop pass so
+                            // the token moves on. Releasing here would
+                            // re-enter `dispatch` once per abandoned waiter.
+                            self.abandoned.push_back((shard, cs_gen));
                         }
                     }
                 }
@@ -609,7 +524,6 @@ impl NodeLoop {
     }
 
     fn transmit(&self, shard: ShardId, to: NodeId, msg: &ArbiterMsg) {
-        use tokq_protocol::api::ProtocolMessage;
         let kind = msg.kind();
         self.metrics.message(shard, kind);
         let frame = wire::encode(shard, msg);

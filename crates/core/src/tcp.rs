@@ -438,21 +438,21 @@ impl std::fmt::Debug for TcpSender {
 impl TcpSender {
     /// A sender that can reach every address in `addrs` (indexed by node).
     pub fn new(addrs: Vec<SocketAddr>) -> Self {
-        Self::with_obs(addrs, &Obs::disabled(Source::Runtime))
+        let panel = FaultPanel::detached(addrs.len());
+        Self::with_panel(
+            addrs,
+            &Obs::disabled(Source::Runtime),
+            panel,
+            BackoffPolicy::default(),
+        )
     }
 
-    /// Like [`TcpSender::new`], recording pipeline telemetry into `obs`:
-    /// connection churn counters (`tcp_connects`, `tcp_reconnects`,
-    /// `tcp_frames_requeued`, `tcp_frames_abandoned`), the
+    /// Full-control constructor: pipeline telemetry recorded into `obs`
+    /// (connection churn counters `tcp_connects`, `tcp_reconnects`,
+    /// `tcp_frames_requeued`, `tcp_frames_abandoned`, the
     /// `tcp_outbox_depth` gauge, and the `tcp_frames_per_flush` /
-    /// `send_enqueue_ns` histograms.
-    pub fn with_obs(addrs: Vec<SocketAddr>, obs: &Obs) -> Self {
-        let panel = FaultPanel::new(addrs.len(), obs);
-        Self::with_panel(addrs, obs, panel, BackoffPolicy::default())
-    }
-
-    /// Full-control constructor: an external [`FaultPanel`] (shared with
-    /// the fault-injecting side) and an explicit [`BackoffPolicy`].
+    /// `send_enqueue_ns` histograms), an external [`FaultPanel`] (shared
+    /// with the fault-injecting side) and an explicit [`BackoffPolicy`].
     /// Spawns one `tokq-tcp-write-<peer>` thread per address.
     pub fn with_panel(
         addrs: Vec<SocketAddr>,

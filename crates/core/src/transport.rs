@@ -178,19 +178,14 @@ impl NetStats {
 impl<T: From<Envelope> + Send + 'static> ChannelTransport<T> {
     /// Builds a transport delivering into `inboxes` under `opts`.
     pub fn new(inboxes: Vec<Sender<T>>, opts: NetOptions) -> Self {
-        Self::with_obs(inboxes, opts, &Obs::disabled(Source::Runtime))
+        let panel = FaultPanel::detached(inboxes.len());
+        Self::with_panel(inboxes, opts, &Obs::disabled(Source::Runtime), panel)
     }
 
     /// Like [`ChannelTransport::new`], recording loss/delay counters
-    /// (`net_dropped`, `net_delivered`, `net_inflight`) into `obs`.
-    pub fn with_obs(inboxes: Vec<Sender<T>>, opts: NetOptions, obs: &Obs) -> Self {
-        let panel = FaultPanel::new(inboxes.len(), obs);
-        Self::with_panel(inboxes, opts, obs, panel)
-    }
-
-    /// Like [`ChannelTransport::with_obs`], sharing an externally owned
-    /// [`FaultPanel`] so partitions and loss bursts can be injected while
-    /// the transport runs.
+    /// (`net_dropped`, `net_delivered`, `net_inflight`) into `obs` and
+    /// sharing an externally owned [`FaultPanel`] so partitions and loss
+    /// bursts can be injected while the transport runs.
     pub fn with_panel(
         inboxes: Vec<Sender<T>>,
         opts: NetOptions,

@@ -17,6 +17,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> every crate's tests: cargo test --workspace -q"
+# Tier-1 tests only the root package; this runs the unit tests of
+# tokq-core, tokq-simnet and the other workspace crates as well.
+cargo test --workspace -q
+
 echo "==> rustdoc gate: cargo doc --no-deps -D warnings"
 # Explicit -p list: the vendored stand-ins are workspace members and are
 # not held to the documentation bar.
