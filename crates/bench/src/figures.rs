@@ -4,6 +4,7 @@
 use tokq_analysis::formulas::{self, ModelParams};
 use tokq_analysis::queueing;
 use tokq_analysis::report::Table;
+use tokq_obs::{timeline, Level, Obs, Source};
 use tokq_protocol::arbiter::{ArbiterConfig, MonitorConfig, MonitorPeriod, RecoveryConfig};
 use tokq_protocol::types::{NodeId, TimeDelta};
 use tokq_simnet::fault::FaultPlan;
@@ -21,13 +22,15 @@ use crate::runner::{Algo, RunSettings};
 pub fn fig2() -> String {
     let mut cfg = tokq_simnet::sim::SimConfig::paper_defaults(5);
     cfg.warmup_cs = 0;
-    cfg.trace = true;
     cfg.max_sim_time = Some(SimTime::from_secs_f64(5.0));
-    let sim = Simulation::build(cfg, ArbiterConfig::basic(), fig2_script());
-    let (report, trace) = sim.run_to_quiescence_with_trace();
+    let obs = Obs::disabled(Source::Sim);
+    let recorder = obs.attach_flight_recorder(4096, Level::Trace);
+    let report = Simulation::build(cfg, ArbiterConfig::basic(), fig2_script())
+        .with_obs(obs)
+        .run_to_quiescence();
     let mut out = String::new();
     out.push_str("## fig2-example — paper §2.2 walkthrough (5 nodes, unit phases)\n");
-    out.push_str(&trace.render());
+    out.push_str(&timeline(&recorder.snapshot()));
     out.push_str(&format!(
         "\ncompleted critical sections: {} (expected 4: nodes 2, 5, 4, 3)\n",
         report.cs_total
@@ -503,6 +506,16 @@ mod tests {
         let out = fig2();
         assert!(out.contains("completed critical sections: 4"), "{out}");
         assert!(out.contains("NEW-ARBITER"), "{out}");
+    }
+
+    /// The committed Figure 2 artifact is what the code prints today.
+    #[test]
+    fn fig2_matches_the_committed_artifact() {
+        let full = include_str!("../../../results/experiments_full.txt");
+        let end = full
+            .find("\n## fig3-messages")
+            .expect("artifact has a fig3 block after fig2");
+        assert_eq!(fig2(), &full[..end]);
     }
 
     #[test]

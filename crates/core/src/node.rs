@@ -9,11 +9,12 @@
 //! events before it looks at due timers.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::convert::identity;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use tokq_obs::{span, Event, Level, Obs, SpanGuard};
+use tokq_obs::{span, Event, Level, Obs, SpanGuard, TraceKind};
 use tokq_protocol::api::{Protocol, ProtocolMessage};
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
 use tokq_protocol::event::{Action, Input, Note};
@@ -24,11 +25,9 @@ use crate::service::{LockError, ShardId};
 use crate::transport::{Envelope, Wire};
 use crate::wire;
 
-/// Trace target for protocol-level observations (notes, phases).
+/// Trace target for the arbiter phase spans.
 const T_ARBITER: &str = "arbiter";
-/// Trace target for node lifecycle and lock servicing.
-const T_NODE: &str = "node";
-/// Trace target for per-message wire traffic.
+/// Trace target for frames the wire layer rejects.
 const T_NET: &str = "net";
 
 /// How many queued inbox events one wake-up handles before it checks the
@@ -276,16 +275,11 @@ impl NodeLoop {
             }
         };
         let kind = msg.kind();
-        if self.obs.enabled(T_NET, Level::Trace) {
-            self.obs.emit(
-                Event::new(T_NET, Level::Trace, "msg_recv")
-                    .node(u64::from(self.id.0))
-                    .shard(u64::from(shard.0))
-                    .field("from", &from.0)
-                    .field("kind", &kind)
-                    .field("bytes", &(frame.len() as u64)),
-            );
-        }
+        self.trace(
+            Some(shard),
+            TraceKind::Received { from: from.0, kind },
+            |ev| ev.field("bytes", &(frame.len() as u64)),
+        );
         let hist = self.obs.registry().histogram_with("handle_ns", kind);
         let start = Instant::now();
         self.dispatch(shard, Input::Deliver { from, msg });
@@ -329,13 +323,7 @@ impl NodeLoop {
             st.in_cs = false;
             st.engaged = false;
             self.metrics.cs_completed(shard);
-            if self.obs.enabled(T_NODE, Level::Debug) {
-                self.obs.emit(
-                    Event::new(T_NODE, Level::Debug, "cs_released")
-                        .node(u64::from(self.id.0))
-                        .shard(u64::from(shard.0)),
-                );
-            }
+            self.trace(Some(shard), TraceKind::ExitCs, identity);
             self.dispatch(shard, Input::CsDone);
             self.pump_lock(shard);
         }
@@ -365,10 +353,7 @@ impl NodeLoop {
         }
         self.timers.clear();
         self.timer_gen.clear();
-        if self.obs.enabled(T_NODE, Level::Info) {
-            self.obs
-                .emit(Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)));
-        }
+        self.trace(None, TraceKind::Crashed, identity);
     }
 
     /// Restart after a crash with fresh state on every shard.
@@ -377,10 +362,7 @@ impl NodeLoop {
             return;
         }
         self.alive = true;
-        if self.obs.enabled(T_NODE, Level::Info) {
-            self.obs
-                .emit(Event::new(T_NODE, Level::Info, "recovered").node(u64::from(self.id.0)));
-        }
+        self.trace(None, TraceKind::Recovered, identity);
         for s in 0..self.shards.len() {
             self.dispatch(ShardId(s as u16), Input::Recover);
         }
@@ -466,17 +448,10 @@ impl NodeLoop {
                                 .registry()
                                 .histogram_with("span_ns", "cs_grant")
                                 .record_duration(waited);
-                            if self.obs.enabled(T_NODE, Level::Debug) {
-                                self.obs.emit(
-                                    Event::new(T_NODE, Level::Debug, "cs_granted")
-                                        .node(u64::from(self.id.0))
-                                        .shard(u64::from(shard.0))
-                                        .field(
-                                            "wait_ns",
-                                            &(waited.as_nanos().min(u128::from(u64::MAX)) as u64),
-                                        ),
-                                );
-                            }
+                            self.trace(Some(shard), TraceKind::EnterCs, |ev| {
+                                let wait_ns = waited.as_nanos().min(u128::from(u64::MAX)) as u64;
+                                ev.field("wait_ns", &wait_ns)
+                            });
                         }
                         _ => {
                             // The waiter gave up (timeout) or vanished:
@@ -489,14 +464,9 @@ impl NodeLoop {
                 }
                 Action::Note(note) => {
                     self.metrics.note(note.label());
-                    if self.obs.enabled(T_ARBITER, Level::Debug) {
-                        self.obs.emit(
-                            Event::new(T_ARBITER, Level::Debug, note.label())
-                                .node(u64::from(self.id.0))
-                                .shard(u64::from(shard.0))
-                                .field("detail", &note),
-                        );
-                    }
+                    self.trace(Some(shard), TraceKind::Note(note.label()), |ev| {
+                        ev.field("detail", &note)
+                    });
                     // Phase notes open/close wall-clock spans: dropping a
                     // guard emits `span_close` and records the duration in
                     // the `span_ns/<name>` histogram.
@@ -531,20 +501,25 @@ impl NodeLoop {
             .registry()
             .counter("wire_bytes_out")
             .add(frame.len() as u64);
-        if self.obs.enabled(T_NET, Level::Trace) {
-            self.obs.emit(
-                Event::new(T_NET, Level::Trace, "msg_sent")
-                    .node(u64::from(self.id.0))
-                    .shard(u64::from(shard.0))
-                    .field("to", &to.0)
-                    .field("kind", &kind)
-                    .field("bytes", &(frame.len() as u64)),
-            );
-        }
+        self.trace(Some(shard), TraceKind::Sent { to: to.0, kind }, |ev| {
+            ev.field("bytes", &(frame.len() as u64))
+        });
         self.transport.send(Envelope {
             from: self.id,
             to,
             frame,
         });
+    }
+
+    /// Emits one vocabulary event for this node, tagged with `shard` and
+    /// with the runtime-only fields `extra` adds, when obs wants it.
+    fn trace(&self, shard: Option<ShardId>, kind: TraceKind, extra: impl FnOnce(Event) -> Event) {
+        if self.obs.enabled(kind.target(), kind.level()) {
+            let mut ev = kind.event(self.id.0);
+            if let Some(shard) = shard {
+                ev = ev.shard(u64::from(shard.0));
+            }
+            self.obs.emit(extra(ev));
+        }
     }
 }

@@ -15,6 +15,8 @@
 //!   verbosity gating with a one-atomic-load fast reject.
 //! * [`Obs`] — the handle tying the above together; cheap to clone and
 //!   share across threads.
+//! * [`TraceKind`] — the one event vocabulary the simulator, the model
+//!   checker and the runtime emit, rendered by [`timeline`].
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ pub mod json;
 pub mod level;
 pub mod metrics;
 pub mod sink;
+pub mod vocab;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -63,6 +66,7 @@ pub use event::{Event, Source};
 pub use level::{Level, TraceFilter};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Registry, Snapshot};
 pub use sink::{CollectSink, FlightRecorder, Sink};
+pub use vocab::{timeline, TraceKind};
 
 struct ObsInner {
     source: Source,

@@ -52,14 +52,13 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
-use tokq_obs::{Event, Level, Obs};
+use tokq_obs::{Event, Level, Obs, TraceKind};
 use tokq_protocol::api::{Protocol, ProtocolFactory, ProtocolMessage};
 use tokq_protocol::event::{Action, Input};
 use tokq_protocol::types::NodeId;
 
 use crate::fault::{is_token_kind, FaultBudget};
 use crate::replay::{replay, Schedule, Step};
-use crate::trace::TraceKind;
 
 /// Exploration bounds and feature switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,8 +291,8 @@ impl<P: Protocol + Clone> World<P> {
                     events.push((
                         src,
                         TraceKind::Sent {
-                            to,
-                            kind: msg.kind().to_owned(),
+                            to: to.0,
+                            kind: msg.kind(),
                         },
                     ));
                     self.in_flight.push_back(Envelope { from: src, to, msg });
@@ -305,8 +304,8 @@ impl<P: Protocol + Clone> World<P> {
                             events.push((
                                 src,
                                 TraceKind::Sent {
-                                    to,
-                                    kind: msg.kind().to_owned(),
+                                    to: to.0,
+                                    kind: msg.kind(),
                                 },
                             ));
                             self.in_flight.push_back(Envelope {
@@ -340,7 +339,7 @@ impl<P: Protocol + Clone> World<P> {
                     events.push((src, TraceKind::EnterCs));
                 }
                 Action::Note(note) => {
-                    events.push((src, TraceKind::Note(note.label().to_owned())));
+                    events.push((src, TraceKind::Note(note.label())));
                 }
             }
         }
@@ -414,8 +413,8 @@ impl<P: Protocol + Clone> World<P> {
                     events.push((
                         env.to,
                         TraceKind::Received {
-                            from: env.from,
-                            kind: env.msg.kind().to_owned(),
+                            from: env.from.0,
+                            kind: env.msg.kind(),
                         },
                     ));
                     let acts = self.nodes[env.to.index()].step(Input::Deliver {
@@ -481,7 +480,10 @@ impl<P: Protocol + Clone> World<P> {
                 let env = self.in_flight.remove(index).expect("index checked");
                 events.push((
                     env.to,
-                    TraceKind::Note(format!("checker_dropped({})", env.msg.kind())),
+                    TraceKind::Injected {
+                        fault: "checker_dropped",
+                        kind: env.msg.kind(),
+                    },
                 ));
                 None
             }
@@ -498,7 +500,10 @@ impl<P: Protocol + Clone> World<P> {
                 let env = self.in_flight[index].clone();
                 events.push((
                     env.to,
-                    TraceKind::Note(format!("checker_duplicated({})", env.msg.kind())),
+                    TraceKind::Injected {
+                        fault: "checker_duplicated",
+                        kind: env.msg.kind(),
+                    },
                 ));
                 self.in_flight.push_back(env);
                 None

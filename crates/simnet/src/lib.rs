@@ -6,7 +6,8 @@
 //! times. The authors' simulator is not available, so this crate rebuilds
 //! that substrate: a virtual clock, an event heap with deterministic
 //! tie-breaking, configurable delay/loss models, crash/recovery fault
-//! plans, metrics with 95% confidence intervals, and structured traces.
+//! plans, metrics with 95% confidence intervals, and structured trace
+//! events in the `tokq-obs` vocabulary.
 //!
 //! Any [`tokq_protocol::api::Protocol`] implementation can be simulated;
 //! the simulator enforces the mutual-exclusion invariant online and panics
@@ -41,7 +42,6 @@ pub mod network;
 pub mod replay;
 pub mod sim;
 pub mod time;
-pub mod trace;
 
 /// The seeded generator every simulation draws from; it lives in
 /// `tokq-protocol`, which the runtime shares.
@@ -58,4 +58,6 @@ pub use replay::{random_schedule, replay, Replay, ReplayStep, Schedule, Step};
 pub use rng::SimRng;
 pub use sim::{SimConfig, Simulation};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEvent, TraceKind};
+/// The trace vocabulary the simulator, the model checker and the runtime
+/// emit; it lives in `tokq-obs`, which the runtime shares.
+pub use tokq_obs::TraceKind;

@@ -22,13 +22,12 @@
 //!    forensics.
 
 use serde::{Deserialize, Serialize};
-use tokq_obs::{Event, Level, Obs};
+use tokq_obs::{Event, Level, Obs, TraceKind};
 use tokq_protocol::api::{Protocol, ProtocolFactory};
 use tokq_protocol::types::NodeId;
 
 use crate::explore::{ViolationKind, World};
 use crate::fault::FaultBudget;
-use crate::trace::TraceKind;
 
 /// One scheduling decision of the model checker.
 ///
@@ -223,7 +222,7 @@ impl Schedule {
 
 /// One replayed scheduling decision together with everything it caused,
 /// in execution order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayStep {
     /// Position in the schedule.
     pub idx: usize,

@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
-use tokq_obs::{Obs, Source};
+use tokq_obs::{Obs, Source, TraceKind};
 use tokq_protocol::api::{Protocol, ProtocolFactory, ProtocolMessage};
 use tokq_protocol::event::{Action, Input};
 use tokq_protocol::types::{NodeId, TimeDelta};
@@ -20,7 +20,6 @@ use crate::metrics::{Collector, Report};
 use crate::network::{DelayModel, Unreliability};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Static parameters of a simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,10 +38,6 @@ pub struct SimConfig {
     pub warmup_cs: u64,
     /// Hard stop on virtual time, if any.
     pub max_sim_time: Option<SimTime>,
-    /// Record an execution trace.
-    pub trace: bool,
-    /// Maximum trace events retained.
-    pub trace_cap: usize,
 }
 
 impl SimConfig {
@@ -57,8 +52,6 @@ impl SimConfig {
             unreliability: Unreliability::reliable(),
             warmup_cs: 500,
             max_sim_time: None,
-            trace: false,
-            trace_cap: 100_000,
         }
     }
 
@@ -66,13 +59,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables trace recording, returning `self` for chaining.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 }
@@ -150,7 +136,6 @@ pub struct Simulation<P: Protocol> {
     rng: SimRng,
     timer_gen: HashMap<(u32, P::Timer), u64>,
     collector: Collector,
-    trace: Trace,
     obs: Obs,
     faults: FaultPlan,
     /// Remaining deterministic token drops: (active_from, remaining).
@@ -181,7 +166,6 @@ impl<P: Protocol> Simulation<P> {
         W: WorkloadSpec,
     {
         assert!(cfg.n > 0, "simulation needs at least one node");
-        let mut rng = SimRng::new(cfg.seed);
         let nodes = factory.build_all(cfg.n);
         let drivers: Vec<NodeDriver> = (0..cfg.n)
             .map(|i| NodeDriver {
@@ -194,8 +178,7 @@ impl<P: Protocol> Simulation<P> {
             })
             .collect();
         let collector = Collector::new(cfg.n, cfg.warmup_cs);
-        let trace = Trace::new(cfg.trace, cfg.trace_cap);
-        let mut sim = Simulation {
+        Simulation {
             nodes,
             drivers,
             heap: BinaryHeap::new(),
@@ -203,34 +186,22 @@ impl<P: Protocol> Simulation<P> {
             now: SimTime::ZERO,
             timer_gen: HashMap::new(),
             collector,
-            trace,
             obs: Obs::disabled(Source::Sim),
             faults: FaultPlan::none(),
             token_drops: Vec::new(),
             cs_holder: None,
-            rng: rng.fork(),
+            rng: SimRng::new(cfg.seed).fork(),
             cfg,
-        };
-        let _ = rng;
-        // Boot every node, then seed the first arrival of every stream.
-        for i in 0..sim.cfg.n {
-            sim.dispatch(NodeId::from_index(i), Input::Start);
         }
-        for i in 0..sim.cfg.n {
-            sim.schedule_next_arrival(NodeId::from_index(i));
-        }
-        sim
     }
 
-    /// Routes every trace record through an observability handle in the
-    /// shared [`tokq_obs`] event schema (stamped with virtual time in the
-    /// [`Source::Sim`] clock domain), and records request-to-grant
-    /// latencies into its `span_ns/cs_grant` histogram — the same metric
-    /// names the threaded runtime uses, so sim and runtime output can be
-    /// compared directly.
-    ///
-    /// Independent of [`SimConfig::trace`]: the in-memory [`Trace`] and
-    /// the obs stream can be enabled separately.
+    /// Routes every [`TraceKind`] occurrence, boot included, through an
+    /// observability handle in the shared [`tokq_obs`] event schema
+    /// (stamped with virtual time in the [`Source::Sim`] clock domain),
+    /// and records request-to-grant latencies into its `span_ns/cs_grant`
+    /// histogram — the same event and metric names the threaded runtime
+    /// uses, so sim and runtime output can be compared directly. Attach a
+    /// flight recorder to the handle to keep the events.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -245,14 +216,6 @@ impl<P: Protocol> Simulation<P> {
     /// Installs a fault plan (crashes, loss windows, token drops).
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        for (at, node, is_crash) in plan.node_events() {
-            let kind = if is_crash {
-                EventKind::Crash { node }
-            } else {
-                EventKind::Recover { node }
-            };
-            self.push_event(at, kind);
-        }
         self.token_drops = plan.token_drops().collect();
         self.faults = plan;
         self
@@ -283,23 +246,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn finish(self) -> Report {
-        let mut report = self.collector.finish(self.now, self.cfg.seed);
-        let _ = &mut report;
-        report
-    }
-
-    /// Consumes the simulation returning both the report and the trace.
-    pub fn run_until_cs_with_trace(mut self, target: u64) -> (Report, Trace) {
-        self.pump(|sim| sim.collector.completed_after_warmup() >= target);
-        let trace = std::mem::take(&mut self.trace);
-        (self.finish(), trace)
-    }
-
-    /// Runs a finite workload to quiescence, returning report and trace.
-    pub fn run_to_quiescence_with_trace(mut self) -> (Report, Trace) {
-        self.pump(|_| false);
-        let trace = std::mem::take(&mut self.trace);
-        (self.finish(), trace)
+        self.collector.finish(self.now, self.cfg.seed)
     }
 
     // ------------------------------------------------------------------
@@ -315,21 +262,34 @@ impl<P: Protocol> Simulation<P> {
         });
     }
 
-    /// Records one occurrence into the in-memory trace and, when the obs
-    /// filter (or flight recorder) wants it, the obs stream.
-    fn record(&mut self, node: NodeId, kind: TraceKind) {
+    /// Emits one occurrence to the obs stream when the filter (or the
+    /// flight recorder) wants it.
+    fn record(&self, node: NodeId, kind: TraceKind) {
         if self.obs.enabled(kind.target(), kind.level()) {
-            let ev = TraceEvent {
-                at: self.now,
-                node,
-                kind: kind.clone(),
-            };
-            self.obs.emit_at(self.now.as_secs_f64(), ev.to_obs_event());
+            self.obs.emit_at(self.now.as_secs_f64(), kind.event(node.0));
         }
-        self.trace.push(self.now, node, kind);
     }
 
+    /// Boots the system, then runs events until `stop` holds, events run
+    /// out, or the time bound hits. Every `run_*` calls this exactly once.
     fn pump(&mut self, stop: impl Fn(&Self) -> bool) {
+        // Boot: start every node, seed the first arrival of every stream,
+        // then schedule the fault plan's crashes and recoveries.
+        for i in 0..self.cfg.n {
+            self.dispatch(NodeId::from_index(i), Input::Start);
+        }
+        for i in 0..self.cfg.n {
+            self.schedule_next_arrival(NodeId::from_index(i));
+        }
+        let node_events: Vec<_> = self.faults.node_events().collect();
+        for (at, node, is_crash) in node_events {
+            let kind = if is_crash {
+                EventKind::Crash { node }
+            } else {
+                EventKind::Recover { node }
+            };
+            self.push_event(at, kind);
+        }
         if stop(self) {
             return;
         }
@@ -349,8 +309,8 @@ impl<P: Protocol> Simulation<P> {
                         self.record(
                             to,
                             TraceKind::Received {
-                                from,
-                                kind: msg.kind().to_owned(),
+                                from: from.0,
+                                kind: msg.kind(),
                             },
                         );
                         self.dispatch(to, Input::Deliver { from, msg });
@@ -498,7 +458,7 @@ impl<P: Protocol> Simulation<P> {
                 Action::EnterCs => self.on_enter_cs(src),
                 Action::Note(note) => {
                     self.collector.note(note);
-                    self.record(src, TraceKind::Note(note.label().to_owned()));
+                    self.record(src, TraceKind::Note(note.label()));
                 }
             }
         }
@@ -536,13 +496,7 @@ impl<P: Protocol> Simulation<P> {
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         let kind = msg.kind();
         self.collector.message(kind);
-        self.record(
-            from,
-            TraceKind::Sent {
-                to,
-                kind: kind.to_owned(),
-            },
-        );
+        self.record(from, TraceKind::Sent { to: to.0, kind });
         // Deterministic token-drop injection (paper §6's lost-token case).
         if crate::fault::is_token_kind(kind) {
             for drop in &mut self.token_drops {
@@ -702,13 +656,13 @@ mod tests {
 
     #[test]
     fn trace_capture_returns_events() {
-        let mut cfg = quick(2);
-        cfg.trace = true;
-        let (r, trace) = Simulation::build(cfg, CentralConfig::default(), Poisson::new(2.0))
-            .run_until_cs_with_trace(20);
+        let obs = Obs::disabled(Source::Sim);
+        let recorder = obs.attach_flight_recorder(4096, tokq_obs::Level::Trace);
+        let r = Simulation::build(quick(2), CentralConfig::default(), Poisson::new(2.0))
+            .with_obs(obs)
+            .run_until_cs(20);
         assert!(r.cs_measured >= 20);
-        assert!(!trace.events().is_empty());
-        let rendered = trace.render();
+        let rendered = tokq_obs::timeline(&recorder.snapshot());
         assert!(rendered.contains("ENTERS"), "{rendered}");
     }
 }

@@ -1,7 +1,8 @@
 //! The unified observability layer end to end: flight-recorder dumps
-//! after induced recovery, span/event sequences, and the JSONL schema
-//! shared by the simulator and the threaded runtime.
+//! after induced recovery, span/event sequences, and the JSONL schema and
+//! event vocabulary shared by the simulator and the threaded runtime.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +11,7 @@ use tokq::obs::{CollectSink, Event, Level, Obs, Source, TraceFilter};
 use tokq::protocol::arbiter::{ArbiterConfig, RecoveryConfig};
 use tokq::protocol::types::TimeDelta;
 use tokq::simnet::{FaultPlan, SimConfig, SimTime, Simulation};
-use tokq::workload::Workload;
+use tokq::workload::{fig2_script, Workload};
 
 fn ft() -> ArbiterConfig {
     ArbiterConfig {
@@ -42,6 +43,18 @@ fn first_index(events: &[Event], name: &str) -> usize {
         .iter()
         .position(|e| e.name == name)
         .unwrap_or_else(|| panic!("no `{name}` event in {} records", events.len()))
+}
+
+/// `name -> (target, level)` over one event stream, asserting each name
+/// keeps a single target and level within the stream.
+fn vocabulary(events: &[Event]) -> BTreeMap<String, (String, Level)> {
+    let mut table = BTreeMap::new();
+    for e in events {
+        let entry = (e.target.clone(), e.level);
+        let seen = table.entry(e.name.clone()).or_insert_with(|| entry.clone());
+        assert_eq!(*seen, entry, "`{}` changes target or level", e.name);
+    }
+    table
 }
 
 #[test]
@@ -201,22 +214,22 @@ fn runtime_flight_recorder_captures_crash_recover_and_spans() {
 
 #[test]
 fn sim_and_runtime_jsonl_schemas_are_compatible() {
-    // Simulator side: stream everything at Debug into a collecting sink.
-    let obs = Obs::with_filter(Source::Sim, TraceFilter::with_default(Level::Debug));
+    // Simulator side: stream everything, wire traffic included, into a
+    // collecting sink.
+    let obs = Obs::with_filter(Source::Sim, TraceFilter::with_default(Level::Trace));
     let sink = CollectSink::new();
     obs.add_sink(sink.clone());
     let mut cfg = SimConfig::paper_defaults(3).with_seed(7);
     cfg.warmup_cs = 0;
-    let _ = Simulation::build(cfg, ft(), Workload::poisson(1.0))
+    let report = Simulation::build(cfg, ft(), Workload::poisson(1.0))
         .with_obs(obs)
         .run_until_cs(30);
     let sim_events = sink.events();
-    assert!(!sim_events.is_empty());
 
     // Runtime side: the same schema out of a real threaded cluster.
     let cluster = tokq::core::Cluster::builder(3)
         .config(quick_ft())
-        .flight_recorder(4096, Level::Debug)
+        .flight_recorder(65_536, Level::Trace)
         .build();
     for node in 0..3 {
         let h = cluster.handle(node).expect("in range");
@@ -225,19 +238,30 @@ fn sim_and_runtime_jsonl_schemas_are_compatible() {
     let recorder = cluster.flight_recorder().expect("recorder");
     cluster.shutdown();
     let rt_events = recorder.snapshot();
-    assert!(!rt_events.is_empty());
 
-    // Both sides must speak the same vocabulary for the shared lifecycle
-    // events, distinguished only by the src stamp.
-    for name in ["cs_granted", "cs_released"] {
-        assert!(
-            sim_events.iter().any(|e| e.name == name),
-            "sim lacks {name}"
-        );
-        assert!(
-            rt_events.iter().any(|e| e.name == name),
-            "runtime lacks {name}"
-        );
+    // Both sides speak one vocabulary: a name either emits carries the
+    // same target and level in both, the shared events appear in both,
+    // and the simulator adds only arrivals and protocol notes.
+    let sim = vocabulary(&sim_events);
+    let rt = vocabulary(&rt_events);
+    for (name, sim_meta) in &sim {
+        match rt.get(name) {
+            Some(rt_meta) => assert_eq!(sim_meta, rt_meta, "`{name}` differs"),
+            None => assert!(
+                name == "arrival" || report.note_count(name) > 0,
+                "sim-only `{name}` is neither an arrival nor a protocol note"
+            ),
+        }
+    }
+    for name in [
+        "msg_sent",
+        "msg_recv",
+        "cs_granted",
+        "cs_released",
+        "qlist_sealed",
+    ] {
+        assert!(sim.contains_key(name), "sim lacks {name}");
+        assert!(rt.contains_key(name), "runtime lacks {name}");
     }
     assert!(sim_events.iter().all(|e| e.src == Source::Sim));
     assert!(rt_events.iter().all(|e| e.src == Source::Runtime));
@@ -247,4 +271,28 @@ fn sim_and_runtime_jsonl_schemas_are_compatible() {
         let back = Event::from_jsonl(&e.to_jsonl()).expect("schema");
         assert_eq!(&back, e);
     }
+}
+
+#[test]
+fn with_obs_sees_the_boot_events() {
+    // The Figure 2 run: node 0 becomes arbiter at boot (t = 0), before any
+    // arrival, and a sink attached through `with_obs` must hear it.
+    let mut cfg = SimConfig::paper_defaults(5);
+    cfg.warmup_cs = 0;
+    cfg.max_sim_time = Some(SimTime::from_secs_f64(5.0));
+    let obs = Obs::with_filter(Source::Sim, TraceFilter::with_default(Level::Trace));
+    let sink = CollectSink::new();
+    obs.add_sink(sink.clone());
+    let report = Simulation::build(cfg, ArbiterConfig::basic(), fig2_script())
+        .with_obs(obs)
+        .run_to_quiescence();
+    assert_eq!(report.cs_total, 4);
+
+    let events = sink.events();
+    let first = &events[0];
+    assert_eq!(
+        (first.name.as_str(), first.node, first.ts),
+        ("became_arbiter", Some(0), 0.0)
+    );
+    assert_eq!(events.len(), 61, "every Figure 2 event reaches the sink");
 }
